@@ -1,9 +1,9 @@
-"""Benchmark: simulator throughput across the three cycle engines.
+"""Benchmark: simulator throughput across the two cycle engines.
 
 Unlike the ``bench_e*`` experiments, which regenerate paper tables, this
 bench measures the simulator *itself*: simulated instructions per
 wall-clock second on the :data:`repro.perf.PERF_MATRIX` configurations
-under the naive, fast, and event cycle engines.  The same measurement
+under the naive and event cycle engines.  The same measurement
 is available outside pytest as ``python -m repro perf`` (or
 ``make perf``), which also writes ``BENCH_perf.json`` and checks the
 committed baseline.

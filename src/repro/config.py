@@ -302,9 +302,9 @@ class PrefetchConfig:
 
 
 #: Cycle-engine names accepted by :attr:`SimConfig.engine` (and the
-#: CLI ``--engine`` flag).  All three are bit-identical; see
-#: ``docs/performance.md`` for when each wins.
-ENGINES = ("naive", "fast", "event")
+#: CLI ``--engine`` flag).  Both are bit-identical; see
+#: ``docs/performance.md`` for when the event engine wins.
+ENGINES = ("naive", "event")
 
 
 @dataclass(frozen=True)
@@ -332,30 +332,22 @@ class SimConfig:
     fast_forward_instructions: int = 0
     max_cycles: int | None = None
     # Cycle-engine selection (see docs/performance.md, "Engine
-    # selection").  All three engines are bit-identical; they differ
-    # only in wall-clock cost:
+    # selection").  Both engines are bit-identical; they differ only
+    # in wall-clock cost:
     #
-    # - "naive": tick every component every cycle.  The reference loop.
-    # - "fast":  the naive loop plus machine-wide idle-window skipping
-    #            (sim/fastpath.py), attempted on every non-delivering
-    #            cycle.  Fastest on fully stall-bound runs; auto-falls
-    #            back to the naive loop when a probe window shows the
-    #            skip machinery never wins (logged as engine_fallback).
+    # - "naive": tick every component every cycle.  The independent
+    #            reference loop.
     # - "event": wake scheduling (sim/events.py) — components are
     #            ticked only when their wake contract says they can do
-    #            real work, and jump attempts are gated on prefetcher
-    #            quiescence.  The default: it matches "fast" on
-    #            stall-bound runs without its overhead elsewhere.
+    #            real work, and provably idle spans are jumped
+    #            analytically (sim/fastpath.py).  The default.
     engine: str = "event"
-    # Deprecated pre-engine knob, kept for one release: False forces
-    # the naive loop regardless of ``engine``; True (the default)
-    # defers to ``engine``.  Use ``engine="naive"`` instead.
-    fast_loop: bool = True
     # Interval telemetry: record a per-window time series (cycles,
     # retired instructions, demand misses, FTQ occupancy mass) every
     # this-many cycles.  0 disables the series; the counter tree is
-    # always collected.  Sampling is fast-loop aware and bit-identical
-    # between the fast and naive loops (see docs/telemetry.md).
+    # always collected.  Sampling is exact across the event engine's
+    # analytic jumps, so the series is bit-identical under both
+    # engines (see docs/telemetry.md).
     telemetry_window: int = 0
     # In-run checkpointing: snapshot the full machine state every
     # this-many cycles (0 disables).  Snapshots are consistent
@@ -380,8 +372,6 @@ class SimConfig:
         _require(self.engine in ENGINES,
                  f"unknown engine {self.engine!r}; expected one of "
                  f"{', '.join(ENGINES)}")
-        _require(isinstance(self.fast_loop, bool),
-                 "fast_loop must be a bool")
         if self.max_instructions is not None:
             _require(self.max_instructions >= 1,
                      "max_instructions must be >= 1 when given")
@@ -404,29 +394,20 @@ class SimConfig:
         if self.max_cycles is not None:
             _require(self.max_cycles >= 1, "max_cycles must be >= 1")
 
-    @property
-    def resolved_engine(self) -> str:
-        """The cycle engine this config actually selects.
-
-        The deprecated ``fast_loop=False`` knob forces the naive loop
-        (its pre-``engine`` meaning); otherwise :attr:`engine` decides.
-        """
-        return "naive" if not self.fast_loop else self.engine
-
     def execution_normalized(self) -> "SimConfig":
         """A copy with execution-detail knobs pinned to their defaults.
 
-        ``engine``, ``fast_loop``, ``checkpoint_interval``,
-        ``watchdog_interval``, ``profile``, and ``event_log`` select
-        *how* a run executes or what it logs, never what it computes —
-        every engine is bit-identical and observability never perturbs
+        ``engine``, ``checkpoint_interval``, ``watchdog_interval``,
+        ``profile``, and ``event_log`` select *how* a run executes or
+        what it logs, never what it computes — both engines are
+        bit-identical and observability never perturbs
         the result.  Identity digests (cache keys, checkpoint snapshot
         metadata) hash this normalized form so results and snapshots
         stay shareable across engine, cadence, and logging choices.
         """
-        return self.replace(engine="event", fast_loop=True,
-                            checkpoint_interval=0, watchdog_interval=0,
-                            profile=False, event_log=None)
+        return self.replace(engine="event", checkpoint_interval=0,
+                            watchdog_interval=0, profile=False,
+                            event_log=None)
 
     def replace(self, **changes: object) -> "SimConfig":
         """Return a copy of this config with ``changes`` applied."""

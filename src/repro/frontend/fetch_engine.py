@@ -70,8 +70,8 @@ class FetchEngine(StatsComponent):
         cache can fetch through a block boundary or across short fetch
         blocks in one cycle), delivering at most ``fetch_width``
         instructions total.  Returns whether any instructions were
-        delivered — the fast-path engine uses a False return as its
-        cheap pre-filter before running the exact skip analysis.
+        delivered — the event engine uses a False return as its
+        cheap pre-filter before running the exact stall proof.
         """
         if self._waiting_until is not None:
             if now < self._waiting_until:

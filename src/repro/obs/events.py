@@ -68,7 +68,6 @@ SCHEMA = "repro.events/v1"
 KINDS = frozenset({
     # simulator lifecycle
     "run_start", "warmup_end", "run_end", "watchdog_stall",
-    "engine_fallback",
     # in-run machine checkpointing
     "checkpoint_written", "checkpoint_resumed", "checkpoint_quarantined",
     # supervised pool

@@ -11,15 +11,15 @@ A prefetcher plugs into the simulator at three points:
 
 :meth:`squash` is called on every pipeline flush.
 
-Fast-path contract: the idle-cycle skip engine (see
-:mod:`repro.sim.fastpath`) may only jump over a cycle when every
+Jump contract: the event engine's analytic jumps (see
+:mod:`repro.sim.fastpath`) may only skip a cycle when every
 component provably does nothing in it.  :meth:`quiescent` must return
 True only if, given no new demand accesses or fills, :meth:`tick` would
 leave *all* observable state (queues, buffers, statistics) untouched.
 :meth:`on_skip` is then called once per skipped window so prefetchers
 that keep an internal clock can catch it up to the last skipped cycle.
 The conservative default (never quiescent) keeps third-party
-prefetchers correct at the cost of the fast path.
+prefetchers correct at the cost of never jumping.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class Prefetcher(StatsComponent, ABC):
     def quiescent(self, ftq: FetchTargetQueue) -> bool:
         """True when :meth:`tick` would be a complete no-op.
 
-        Only consulted by the fast-path engine while the front end is
+        Only consulted by the event engine while the front end is
         fully stalled.  Must be exact: a prefetcher that would mutate
         any state — including bumping a counter for a rejected issue —
         must answer False.  The default is conservatively False.

@@ -25,11 +25,11 @@ happens to those snapshots:
 Identity metadata (:func:`snapshot_meta`) binds snapshots to the
 (trace, config, package version) that produced them.  The config
 fields that provably do not affect the result — ``engine``,
-``fast_loop``, ``checkpoint_interval``, ``watchdog_interval`` — are
-excluded from the digest (as are the observability fields ``profile`` and ``event_log``),
-so a snapshot taken under one engine or cadence resumes cleanly
-under another (resume is bit-identical either way; see
-``tests/test_checkpoint.py``).
+``checkpoint_interval``, ``watchdog_interval`` — are excluded from the
+digest (as are the observability fields ``profile`` and
+``event_log``), so a snapshot taken under one engine or cadence
+resumes cleanly under another (resume is bit-identical either way;
+see ``tests/test_checkpoint.py``).
 
 Crash drills: setting ``REPRO_CHECKPOINT_KILL_AFTER=N`` makes the
 *first* process writing snapshots into a directory SIGKILL itself right
@@ -85,11 +85,10 @@ _KILL_MARKER = "crash-drill.done"
 def snapshot_meta(trace: Trace, config: SimConfig) -> dict:
     """Identity metadata binding snapshots to one (trace, config) run.
 
-    ``engine``, ``fast_loop``, ``checkpoint_interval``,
-    ``watchdog_interval``, ``profile``, and ``event_log`` are
-    normalized out of the config digest: none of them affects the
-    simulated result, so snapshots stay resumable across engine,
-    cadence, and observability changes.
+    ``engine``, ``checkpoint_interval``, ``watchdog_interval``,
+    ``profile``, and ``event_log`` are normalized out of the config
+    digest: none of them affects the simulated result, so snapshots
+    stay resumable across engine, cadence, and observability changes.
     """
     normalized = config.execution_normalized()
     digest = hashlib.sha256(repr(normalized).encode("utf-8")) \
@@ -330,7 +329,6 @@ class CheckpointedRun:
 def run_with_checkpoints(trace: Trace, config: SimConfig, *,
                          directory: str | Path,
                          name: str | None = None,
-                         fast_loop: bool | None = None,
                          engine: str | None = None,
                          keep: int = 2, resume: bool = True,
                          cleanup: bool = True) -> CheckpointedRun:
@@ -349,8 +347,7 @@ def run_with_checkpoints(trace: Trace, config: SimConfig, *,
     """
     manager = CheckpointManager(directory, meta=snapshot_meta(trace, config),
                                 keep=keep)
-    sim = Simulator(trace, config, name=name, fast_loop=fast_loop,
-                    engine=engine)
+    sim = Simulator(trace, config, name=name, engine=engine)
     resumed_from = None
     if resume:
         state = manager.latest()

@@ -1,14 +1,9 @@
 """The event-driven cycle engine: wake scheduling over components.
 
-The naive loop polls every component every cycle; the fast engine
-(``sim/fastpath.py``) adds machine-wide idle-window jumps but pays a
-full stall-proof attempt on every cycle that delivers nothing — which
-is why it *regresses* on prefetch-saturated runs, where the proof fails
-(the prefetcher is busy) tens of thousands of times without ever
-winning a jump.  This engine inverts the control flow: work is driven
-by component wake state, not polling.
+The naive loop polls every component every cycle.  This engine inverts
+the control flow: work is driven by component wake state, not polling.
 
-Three mechanisms, all bit-identical to the naive loop:
+Two mechanisms, both bit-identical to the naive loop:
 
 1. **Per-component tick elision.**  Each component's wake contract
    (:meth:`~repro.component.Component.next_wake_cycle`, plus the
@@ -33,33 +28,27 @@ Three mechanisms, all bit-identical to the naive loop:
    clock, so elision there would not be exact.
 
 2. **Adaptively gated analytic jumps.**  Machine-wide idle spans are
-   jumped exactly as under the fast engine (same
-   :func:`~repro.sim.fastpath.stall_proof`, same
-   ``Simulator._apply_skip`` bookkeeping), but the two jump gates —
-   the stall proof and :meth:`~repro.prefetch.base.Prefetcher.
-   quiescent` — are evaluated last-rejector-first.  On a saturated
-   FDIP run the prefetcher's O(1) PIQ check rejects every attempt and
-   stays in front; on a stream-prefetcher run quiescence walks every
-   buffer, so the proof (which rejects on the FTQ head) moves in
-   front instead.  Gate order cannot change the outcome — a jump
-   needs both — so the adaptation is bit-identical by construction.
+   jumped in one step: :func:`~repro.sim.fastpath.stall_proof` proves
+   every component stalled and names the earliest wake cycle,
+   :func:`plan_jump` turns that into a :class:`~repro.sim.fastpath.
+   SkipPlan`, and ``Simulator._apply_skip`` batch-applies the
+   bookkeeping.  The two jump gates — the stall proof and
+   :meth:`~repro.prefetch.base.Prefetcher.quiescent` — are evaluated
+   last-rejector-first.  On a saturated FDIP run the prefetcher's O(1)
+   PIQ check rejects every attempt and stays in front; on a
+   stream-prefetcher run quiescence walks every buffer, so the proof
+   (which rejects on the FTQ head) moves in front instead.  Gate order
+   cannot change the outcome — a jump needs both — so the adaptation is
+   bit-identical by construction.
 
-3. **A wake calendar.**  :class:`WakeCalendar` is a small binary-heap
-   scheduler over ``(cycle, source)`` wake entries; each successful
-   jump is planned by pushing every component's self-scheduled wake
-   bound and popping the earliest.  The surviving entries name the
-   wake order inside the span — :func:`plan_wake` exposes the chosen
-   wake source for diagnostics (the watchdog stall dump).
-
-Equivalence is enforced by the engine matrix in
-``tests/test_fast_loop_equivalence.py`` and the checkpoint fuzz suite;
-selection is ``SimConfig(engine="event")`` (the default — see
+Equivalence with the naive loop is enforced by the test suite's engine
+matrix and the checkpoint fuzz suite; selection is
+``SimConfig(engine="event")`` (the default — see
 ``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError, WatchdogStallError
@@ -70,64 +59,23 @@ from repro.stats import IntervalSampler, RunLengthObserver
 if TYPE_CHECKING:
     from repro.sim.simulator import Simulator
 
-__all__ = ["WakeCalendar", "plan_wake", "run_event_loop"]
+__all__ = ["plan_jump", "run_event_loop"]
 
 
-class WakeCalendar:
-    """A binary-heap calendar of pending ``(cycle, source)`` wakes.
+def plan_jump(proof, cycle: int, max_cycles: int) -> SkipPlan | None:
+    """Turn a successful :func:`~repro.sim.fastpath.stall_proof` into a
+    jump plan, or None when the earliest wake is too close to skip
+    anything.
 
-    The event engine plans each analytic jump through one calendar
-    instance (reused across attempts — no per-attempt allocation): the
-    components' self-scheduled wake bounds are pushed, the earliest is
-    the jump target, and the head entry names the wake source.
+    The plan never jumps past ``max_cycles + 1``, so the cycle-cap
+    deadlock error fires with identical state to the naive loop; a
+    fully deadlocked machine (no wake bound at all) jumps straight to
+    the cap.
     """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, str]] = []
-
-    def clear(self) -> None:
-        del self._heap[:]
-
-    def push(self, cycle: int, source: str) -> None:
-        heapq.heappush(self._heap, (cycle, source))
-
-    def refill(self, wakes: list[tuple[int, str]]) -> tuple[int, str] | None:
-        """Replace the pending wakes wholesale and return the earliest.
-
-        Takes ownership of ``wakes``; one C-level heapify beats a
-        Python-level push per entry, and the jump planner refills the
-        whole calendar on every attempt anyway.
-        """
-        heapq.heapify(wakes)
-        self._heap = wakes
-        return wakes[0] if wakes else None
-
-    def earliest(self) -> tuple[int, str] | None:
-        """The soonest pending wake, without removing it."""
-        return self._heap[0] if self._heap else None
-
-    def pop(self) -> tuple[int, str]:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __repr__(self) -> str:
-        head = self._heap[0] if self._heap else None
-        return f"WakeCalendar(pending={len(self._heap)}, next={head})"
-
-
-def _plan_from_proof(proof, cycle: int, max_cycles: int,
-                     calendar: WakeCalendar) -> SkipPlan | None:
-    """Turn a successful stall proof into a jump plan (or None when
-    the earliest wake is too close to skip anything)."""
-    fetch_counter, predict_counter, retire_stalled, wakes = proof
-    head = calendar.refill(wakes)
-    target = head[0] if head is not None else max_cycles + 1
-    if target > max_cycles + 1:
-        target = max_cycles + 1
+    fetch_counter, predict_counter, retire_stalled, wake = proof
+    target = max_cycles + 1
+    if wake is not None and wake < target:
+        target = wake
     skipped = target - cycle - 1
     if skipped <= 0:
         return None
@@ -135,24 +83,6 @@ def _plan_from_proof(proof, cycle: int, max_cycles: int,
                     fetch_counter=fetch_counter,
                     predict_counter=predict_counter,
                     retire_stalled=retire_stalled)
-
-
-def plan_wake(sim: "Simulator", cycle: int, max_cycles: int,
-              calendar: WakeCalendar) -> SkipPlan | None:
-    """The event engine's jump planner.
-
-    Precondition: the caller has already established prefetcher
-    quiescence (gate ordering is the caller's concern — the engine
-    adapts it to the workload).  Runs the shared
-    :func:`~repro.sim.fastpath.stall_proof`, orders the wake bounds
-    through ``calendar``, and returns the same
-    :class:`~repro.sim.fastpath.SkipPlan` the fast engine would — the
-    two engines are bit-identical by construction.
-    """
-    proof = stall_proof(sim, cycle)
-    if proof is None:
-        return None
-    return _plan_from_proof(proof, cycle, max_cycles, calendar)
 
 
 def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
@@ -196,7 +126,6 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
     issue_width = backend.core.issue_width
     bwindow = backend._window
     bwindow_popleft = bwindow.popleft
-    calendar = WakeCalendar()
     proof_first = False   # adaptive jump-gate order; see the skip gate
 
     # The cycle counter and the occupancy run-length accumulator live
@@ -235,7 +164,7 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             memory._ports_used = 0
         # backend: asleep until the oldest completion; a non-empty
         # window owes exactly one retire_stall_cycles per stalled cycle
-        # (matching the fast engine's batch accounting).  The due case
+        # (matching _apply_skip's batch accounting).  The due case
         # inlines Backend.retire (a completion at the head guarantees
         # n >= 1, so the n == 0 stall branch cannot apply).
         if bwindow:
@@ -326,8 +255,7 @@ def run_event_loop(sim: "Simulator", *, total: int, warmup: int,
             else:
                 proof = None
             if proof is not None:
-                plan = _plan_from_proof(proof, cycle, max_cycles,
-                                        calendar)
+                plan = plan_jump(proof, cycle, max_cycles)
                 if plan is not None:
                     sim.cycle = cycle
                     occupancy._value = occ_value

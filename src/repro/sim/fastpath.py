@@ -1,4 +1,4 @@
-"""Idle-cycle stall proofs shared by the fast and event cycle engines.
+"""Idle-cycle stall proofs for the event engine's analytic jumps.
 
 A trace-driven run spends most of its cycles with every component
 stalled: fetch blocked on a fill, the prediction unit blocked on a full
@@ -9,8 +9,8 @@ occupancy sample.
 
 :func:`stall_proof` recognises exactly those cycles *by proof*, not by
 heuristic: it succeeds only when every component's next tick is known
-to be a pure stall-counter bump, and collects each component's
-self-scheduled wake bound through the uniform
+to be a pure stall-counter bump, and takes the earliest of each
+component's self-scheduled wake bounds, gathered through the uniform
 :meth:`~repro.component.Component.next_wake_cycle` contract:
 
 - the next memory fill completion (``MemorySystem.next_wake_cycle``),
@@ -21,18 +21,15 @@ self-scheduled wake bound through the uniform
 - the cycle a pending L2-FTB promotion completes
   (``PredictUnit.next_wake_cycle``).
 
-:func:`plan_skip` (the fast engine's entry point) combines the proof
-with the prefetcher's quiescence declaration and the earliest wake
-bound into a :class:`SkipPlan`; the simulator then jumps the clock to
-one cycle before that bound and batch-applies the per-cycle bookkeeping
-the naive loop would have done (the stall counters, the occupancy
-samples, the prefetcher's internal clock), making all engines
-**bit-identical** — the same ``SimResult``, counter for counter.  The
-event engine (``sim/events.py``) reuses the same proof but orders the
-two jump gates adaptively and the wake bounds through its
-:class:`~repro.sim.events.WakeCalendar`.  The equivalence matrix lives
-in ``tests/test_fast_loop_equivalence.py``; the invariants each
-component must uphold are documented in ``docs/performance.md``.
+The event engine (``sim/events.py``) combines the proof with the
+prefetcher's quiescence declaration into a :class:`SkipPlan`; the
+simulator then jumps the clock to one cycle before the wake bound and
+batch-applies the per-cycle bookkeeping the naive loop would have done
+(the stall counters, the occupancy samples, the prefetcher's internal
+clock), keeping both engines **bit-identical** — the same
+``SimResult``, counter for counter.  The test suite's naive-vs-event
+equivalence matrix enforces this; the invariants each component must
+uphold are documented in ``docs/performance.md``.
 
 Why each gate is sound, in cycle-schedule order:
 
@@ -63,7 +60,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.sim.simulator import Simulator
 
-__all__ = ["SkipPlan", "stall_proof", "plan_skip"]
+__all__ = ["SkipPlan", "stall_proof"]
 
 
 @dataclass(slots=True)
@@ -80,18 +77,16 @@ class SkipPlan:
 def stall_proof(sim: "Simulator", cycle: int):
     """Prove that no component except the prefetcher can do real work.
 
-    Returns ``(fetch_counter, predict_counter, retire_stalled, wakes)``
+    Returns ``(fetch_counter, predict_counter, retire_stalled, wake)``
     when every non-prefetch component's next tick is a pure
     stall-counter bump, or None when any of them could do real work
-    next cycle.  ``wakes`` is a list of ``(cycle, source)`` wake bounds
-    gathered through each component's
-    :meth:`~repro.component.Component.next_wake_cycle` contract — the
-    earliest of them is the first cycle at which anything can change.
+    next cycle.  ``wake`` is the earliest self-scheduled wake bound —
+    the first cycle at which anything can change — or None when no
+    component has one (a fully deadlocked machine).
 
-    The prefetcher is deliberately excluded: callers combine the proof
-    with :meth:`~repro.prefetch.base.Prefetcher.quiescent` in the order
-    that is cheapest for their engine (the fast engine checks it last,
-    the event engine adapts the order to the workload).
+    The prefetcher is deliberately excluded: the event engine combines
+    the proof with :meth:`~repro.prefetch.base.Prefetcher.quiescent`
+    in whichever order is cheaper for the workload.
     """
     # Failure checks run before any wake collection so a rejected
     # attempt (the common case on busy stretches) allocates nothing.
@@ -131,49 +126,10 @@ def stall_proof(sim: "Simulator", cycle: int):
             return None   # would produce a fetch block
 
     # --- self-scheduled progress bounds -------------------------------
-    wakes: list[tuple[int, str]] = []
-    if fetch_wake is not None:
-        wakes.append((fetch_wake, "fetch.fill"))
-    if predict_wake is not None:
-        wakes.append((predict_wake, "predict.ftb_l2"))
-    wake = sim.memory.next_wake_cycle(cycle)
-    if wake is not None:
-        wakes.append((wake, "memory.fill"))
-    wake = sim.backend.next_wake_cycle(cycle)
-    retire_stalled = wake is not None
-    if retire_stalled:
-        wakes.append((wake, "backend.completion"))
-    if sim._resolve_at is not None:
-        wakes.append((sim._resolve_at, "resolution"))
-
-    return fetch_counter, predict_counter, retire_stalled, wakes
-
-
-def plan_skip(sim: "Simulator", cycle: int,
-              max_cycles: int) -> SkipPlan | None:
-    """Plan a jump from ``cycle`` over provably idle cycles.
-
-    Returns None when any component could do real work next cycle.  The
-    returned plan never jumps past ``max_cycles + 1``, so the cycle-cap
-    deadlock error fires with identical state to the naive loop; a fully
-    deadlocked machine (no bound at all) jumps straight to the cap.
-    """
-    proof = stall_proof(sim, cycle)
-    if proof is None:
-        return None
-    fetch_counter, predict_counter, retire_stalled, wakes = proof
-
-    # --- prefetch engine ----------------------------------------------
-    if not sim.prefetcher.quiescent(sim.ftq):
-        return None
-
-    target = min(w for w, _ in wakes) if wakes else max_cycles + 1
-    if target > max_cycles + 1:
-        target = max_cycles + 1
-    skipped = target - cycle - 1
-    if skipped <= 0:
-        return None
-    return SkipPlan(target=target, cycles=skipped,
-                    fetch_counter=fetch_counter,
-                    predict_counter=predict_counter,
-                    retire_stalled=retire_stalled)
+    memory_wake = sim.memory.next_wake_cycle(cycle)
+    backend_wake = sim.backend.next_wake_cycle(cycle)
+    wakes = [wake for wake in (fetch_wake, predict_wake, memory_wake,
+                               backend_wake, sim._resolve_at)
+             if wake is not None]
+    return (fetch_counter, predict_counter, backend_wake is not None,
+            min(wakes) if wakes else None)

@@ -31,30 +31,16 @@ from repro.ftb import FetchTargetBuffer, TwoLevelFTB
 from repro.memory import MemorySystem
 from repro.obs import events as obs_events
 from repro.obs.profile import CycleProfiler
-# Re-exported for backward compatibility: kind resolution now lives in
-# the prefetcher registry (see repro/prefetch/__init__.py).
-from repro.prefetch import make_prefetcher  # noqa: F401
-from repro.sim.fastpath import plan_skip
+from repro.prefetch import make_prefetcher
+from repro.sim.events import run_event_loop
 from repro.sim.results import SimResult
 from repro.stats import IntervalSampler, IntervalSeries, \
     RunLengthObserver, StatGroup, TelemetryNode, TelemetrySnapshot
 from repro.trace import Trace
 
-__all__ = ["Simulator", "make_prefetcher"]
+__all__ = ["Simulator"]
 
 _DEFAULT_CYCLE_CAP_PER_INSTR = 200
-
-# Fast-engine fallback (see run()): probe the skip ratio over the
-# first telemetry window (or this many cycles when interval telemetry
-# is off) and latch to the naive loop when the skip machinery is
-# provably not winning — per-cycle failed proofs are pure overhead.
-# The two thresholds give the probe hysteresis: below MIN it falls
-# back (one-way latch, logged as an ``engine_fallback`` event); at or
-# above KEEP it stops probing; in between it keeps re-probing
-# window by window.
-_FALLBACK_PROBE_WINDOW = 4096
-_FALLBACK_MIN_RATIO = 0.01
-_FALLBACK_KEEP_RATIO = 0.05
 
 
 class Simulator:
@@ -66,16 +52,12 @@ class Simulator:
     - ``tracer`` attaches a per-cycle pipeline tracer (forces the
       naive loop — a tracer observes every cycle by definition);
     - ``engine`` overrides ``config.engine`` for this run: one of
-      ``"naive"``, ``"fast"``, ``"event"``.  All three are
-      bit-identical (see ``docs/performance.md``, "Engine selection");
-    - ``fast_loop`` is the deprecated pre-``engine`` override, kept
-      for one release: True selects the fast engine, False the naive
-      loop.  ``engine`` wins when both are given.
+      ``"naive"`` or ``"event"``.  Both are bit-identical (see
+      ``docs/performance.md``, "Engine selection").
     """
 
     def __init__(self, trace: Trace, config: SimConfig, *,
                  name: str | None = None, tracer=None,
-                 fast_loop: bool | None = None,
                  engine: str | None = None):
         if config.max_instructions is not None \
                 and config.max_instructions < len(trace):
@@ -117,18 +99,12 @@ class Simulator:
         self.cycle = 0
         self.tracer = tracer
         if engine is None:
-            if fast_loop is not None:
-                engine = "fast" if fast_loop else "naive"
-            else:
-                engine = config.resolved_engine
+            engine = config.engine
         elif engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {engine!r}; expected one of "
                 f"{', '.join(ENGINES)}")
         self.engine = engine
-        # Back-compat mirror of the pre-engine attribute (True for any
-        # skipping engine); scheduled for removal with the knob itself.
-        self.fast_loop = engine != "naive"
         self.skipped_cycles = 0   # diagnostics only; not a statistic
         # Opt-in cycle-attribution profiler (see repro/obs/profile.py).
         # It lives outside the telemetry tree on purpose: SimResult
@@ -227,7 +203,6 @@ class Simulator:
 
         # A tracer observes every cycle; it forces the naive loop.
         engine = self.engine if self.tracer is None else "naive"
-        fast = engine == "fast"
         tracer = self.tracer
         profiler = self.profiler
         memory = self.memory
@@ -270,24 +245,11 @@ class Simulator:
             "resumed": self.cycle > 0})
 
         if engine == "event":
-            from repro.sim.events import run_event_loop
-
             occupancy, sampler = run_event_loop(
                 self, total=total, warmup=warmup, max_cycles=max_cycles,
                 occupancy=occupancy, sampler=sampler, interval=interval,
                 sink=sink, next_ckpt=next_ckpt, watchdog=watchdog)
             return self._finish(occupancy, sampler, mem_stats)
-
-        # Fast-engine fallback probe: measure the observed skip ratio
-        # over the first telemetry window; when the skip machinery is
-        # (almost) never winning, every further plan attempt is pure
-        # overhead — latch to the naive loop for the rest of the run.
-        # At least the default probe span: a tiny telemetry window
-        # would judge the skip machinery before it ever gets a chance.
-        probe_window = max(window, _FALLBACK_PROBE_WINDOW)
-        probe_start = self.cycle
-        probe_skipped = self.skipped_cycles
-        probe_at = probe_start + probe_window
 
         while backend.retired < total:
             self.cycle += 1
@@ -309,9 +271,6 @@ class Simulator:
                 sampler.advance(cycle, occ, backend.retired,
                                 mem_stats.get("demand_misses"))
             if profiler is not None:
-                # End-of-cycle classification; inside a fast-path skip
-                # window this state is pinned, so _apply_skip attributes
-                # the whole window with one observe(n) call.
                 profiler.observe(self, bool(fetched))
             if tracer is not None:
                 tracer.record(cycle, self)
@@ -326,58 +285,27 @@ class Simulator:
                     # at the measurement origin so window boundaries and
                     # deltas cover only the measured region.
                     sampler = IntervalSampler(
-                        window, origin=self.cycle,
-                        base_retired=backend.retired)
+                        window, origin=cycle, base_retired=backend.retired)
                 obs_events.emit("warmup_end", data={
-                    "name": self.name, "cycle": self.cycle,
+                    "name": self.name, "cycle": cycle,
                     "retired": backend.retired})
-            elif fast and not fetched and backend.retired < total:
-                # (the fetched guard merely pre-filters active cycles;
-                # the retired guard keeps the loop's exit cycle — and
-                # therefore the reported cycle count — identical)
-                if cycle >= probe_at:
-                    span = cycle - probe_start
-                    skipped = self.skipped_cycles - probe_skipped
-                    ratio = skipped / span if span > 0 else 1.0
-                    if ratio < _FALLBACK_MIN_RATIO:
-                        # One-way latch: results are identical either
-                        # way, only the per-cycle proof overhead goes.
-                        fast = False
-                        obs_events.emit("engine_fallback", data={
-                            "name": self.name, "cycle": cycle,
-                            "probe_cycles": span,
-                            "skipped_cycles": skipped,
-                            "skip_ratio": round(ratio, 6),
-                            "from_engine": "fast",
-                            "to_engine": "naive"})
-                    elif ratio >= _FALLBACK_KEEP_RATIO:
-                        probe_at = max_cycles + 1   # healthy: stop probing
-                    else:
-                        probe_start = cycle
-                        probe_skipped = self.skipped_cycles
-                        probe_at = cycle + probe_window
-                if fast:
-                    plan = plan_skip(self, cycle, max_cycles)
-                    if plan is not None:
-                        self._apply_skip(plan, occupancy, sampler)
 
             if watchdog > 0:
                 if backend.retired > progress_retired:
                     progress_retired = backend.retired
-                    progress_cycle = self.cycle
-                elif self.cycle - progress_cycle >= watchdog:
+                    progress_cycle = cycle
+                elif cycle - progress_cycle >= watchdog:
                     obs_events.emit("watchdog_stall", data={
-                        "name": self.name, "cycle": self.cycle,
+                        "name": self.name, "cycle": cycle,
                         "retired": backend.retired,
                         "watchdog_interval": watchdog})
                     raise WatchdogStallError(
-                        self.cycle, backend.retired, watchdog,
+                        cycle, backend.retired, watchdog,
                         state=self._stall_dump())
-            if next_ckpt is not None and self.cycle >= next_ckpt:
-                # End-of-cycle consistent point; ``>=`` (not ``==``)
-                # because a fast-path skip may jump across the boundary.
+            if next_ckpt is not None and cycle >= next_ckpt:
+                # End-of-cycle consistent point.
                 sink(self.state_dict(occupancy=occupancy, sampler=sampler))
-                next_ckpt = self.cycle + interval
+                next_ckpt = cycle + interval
 
         return self._finish(occupancy, sampler, mem_stats)
 

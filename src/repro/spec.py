@@ -26,7 +26,6 @@ under and the simulation a library call runs can never disagree.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -42,6 +41,20 @@ __all__ = ["Point", "ExperimentSpec", "normalize_points",
 
 #: Wire-format tag of one serialized :class:`RunRequest`.
 REQUEST_SCHEMA = "repro.request/v1"
+
+
+def _require_int(name: str, value: object, *, optional: bool) -> None:
+    """Reject non-int identity fields (bools and floats included).
+
+    ``cache_key`` digests these fields, so a ``1.5`` or ``True`` that
+    slipped through would share a key with a different simulation.
+    """
+    if value is None and optional:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        expected = "an int or None" if optional else "an int"
+        raise ConfigError(
+            f"RunRequest.{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -195,6 +208,13 @@ class RunRequest:
             raise ConfigError(
                 f"RunRequest.config must be a SimConfig, "
                 f"got {type(self.config).__name__}")
+        _require_int("seed", self.seed, optional=False)
+        for name in ("trace_length", "shards", "shard_overlap"):
+            _require_int(name, getattr(self, name), optional=True)
+        if self.label is not None and not isinstance(self.label, str):
+            raise ConfigError(
+                f"RunRequest.label must be a string or None, "
+                f"got {self.label!r}")
         if self.trace_length is not None and self.trace_length < 1:
             raise ConfigError(
                 f"RunRequest.trace_length must be >= 1 or None, "
@@ -272,10 +292,14 @@ class RunRequest:
                 f"unknown request key {unknown[0]!r}; valid keys: "
                 f"{', '.join(sorted(known))}")
         config = data.get("config")
+        if config is not None and not isinstance(config, dict):
+            raise ConfigError(
+                f"RunRequest config must be a mapping, "
+                f"got {type(config).__name__}")
         return cls(
             workload=data.get("workload", ""),
             config=(SimConfig.from_dict(config)
-                    if isinstance(config, dict) else SimConfig()),
+                    if config is not None else SimConfig()),
             trace_length=data.get("trace_length"),
             seed=data.get("seed", 1),
             shards=data.get("shards"),
@@ -307,17 +331,6 @@ class RunResponse:
             raise ConfigError(
                 f"RunResponse.source must be one of "
                 f"{', '.join(self.SOURCES)}; got {self.source!r}")
-
-    def __iter__(self) -> Iterator[Any]:
-        # One-release shim: profile_run used to return a bare
-        # (result, profile) tuple, so unpacking must keep working.
-        warnings.warn(
-            "unpacking a RunResponse as (result, profile) is "
-            "deprecated; use response.result and response.profile "
-            "(profile_run now returns a RunResponse)",
-            DeprecationWarning, stacklevel=2)
-        yield self.result
-        yield self.profile
 
 
 def resolve_request(request: RunRequest | None = None, *,

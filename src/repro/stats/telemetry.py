@@ -19,12 +19,12 @@ Interval sampling
 
 :class:`IntervalSampler` records a per-window time series (cycles,
 retired instructions, demand misses, FTQ-occupancy mass) with a
-configurable window.  It is *fast-loop aware*: the idle-cycle skip
-engine batches hundreds of identical cycles into one
+configurable window.  It is *jump aware*: the event engine batches
+hundreds of identical idle cycles into one
 :meth:`IntervalSampler.advance` call, and the sampler reconstructs
 every window boundary crossed inside the batch analytically — the
 resulting series is bit-identical to naive cycle-by-cycle sampling
-(asserted by ``tests/test_fast_loop_equivalence.py``).
+(asserted by the test suite's engine-equivalence matrix).
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class IntervalSeries:
 class IntervalSampler:
     """Accumulates the interval time series during a run.
 
-    The naive loop calls :meth:`advance` once per cycle; the fast-path
+    The naive loop calls :meth:`advance` once per cycle; the event
     engine calls it once per *batch* of skipped cycles (during which
     retired count, demand misses, and FTQ occupancy are provably
     constant — that is what made the cycles skippable).  Boundary
@@ -316,7 +316,8 @@ class IntervalSampler:
         ``occupancy`` is the FTQ occupancy held on every cycle of the
         span; ``retired``/``misses`` are the cumulative totals at the
         end of ``cycle`` (constant across the span when it is longer
-        than one cycle — guaranteed by the fast path's idleness proof).
+        than one cycle — guaranteed by the event engine's idleness
+        proof).
         """
         while self._next_boundary <= cycle:
             boundary = self._next_boundary

@@ -172,7 +172,7 @@ class TestCheckpointManager:
         config = _config()
         base = snapshot_meta(_TRACE, config)
         varied = snapshot_meta(_TRACE, config.replace(
-            fast_loop=False, checkpoint_interval=123,
+            engine="naive", checkpoint_interval=123,
             watchdog_interval=456))
         assert varied == base
         other = snapshot_meta(_TRACE, _config(PrefetcherKind.NLP))

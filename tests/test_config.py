@@ -212,7 +212,7 @@ def _exotic_config() -> SimConfig:
         warmup_instructions=100,
         fast_forward_instructions=50,
         max_cycles=1_000_000,
-        fast_loop=False,
+        engine="naive",
         telemetry_window=250)
 
 

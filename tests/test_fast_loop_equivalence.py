@@ -1,14 +1,14 @@
-"""Bit-identity of the accelerated cycle engines against the naive loop.
+"""Bit-identity of the event engine against the naive loop.
 
-The fast path (``engine="fast"``, see ``repro/sim/fastpath.py``) jumps
-over provably idle cycles in one step; the event engine
-(``engine="event"``, see ``repro/sim/events.py``) additionally elides
-per-component work inside productive cycles.  Their correctness claim
-is absolute: the full :class:`~repro.sim.results.SimResult` — every
-counter, every histogram, every derived metric — must equal the naive
-cycle-by-cycle loop's, for every prefetcher and configuration.  These
-tests sweep that claim across the engine matrix, the prefetcher kinds,
-cache-probe-filter modes, trace seeds, and the warm-up-reset edge case.
+The event engine (``engine="event"``, see ``repro/sim/events.py``)
+jumps over provably idle cycles in one step (``repro/sim/fastpath.py``)
+and elides per-component work inside productive cycles.  Its
+correctness claim is absolute: the full
+:class:`~repro.sim.results.SimResult` — every counter, every histogram,
+every derived metric — must equal the naive cycle-by-cycle loop's, for
+every prefetcher and configuration.  These tests sweep that claim
+across the prefetcher kinds, cache-probe-filter modes, trace seeds, and
+the warm-up-reset edge case.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def run_all(trace: Trace, config: SimConfig):
     return out
 
 
-def assert_identical(naive, other, engine="fast"):
+def assert_identical(naive, other, engine="event"):
     """Equality with a readable counter-level diff on failure.
 
     ``SimResult`` equality covers the full telemetry snapshot (tree,
@@ -185,14 +185,3 @@ def test_tracer_forces_naive_loop(traces):
         assert sim.skipped_cycles == 0, engine
         assert len(tracer.snapshots) > 0, engine
 
-
-def test_fast_loop_config_knob(traces):
-    """``SimConfig.fast_loop=False`` disables skipping without the
-    constructor override."""
-    config = SimConfig(prefetch=PrefetchConfig(kind=PrefetcherKind.NONE),
-                       fast_loop=False)
-    config = config.replace(
-        memory=replace(config.memory, memory_latency=400))
-    sim = Simulator(traces[SEEDS[0]], config)
-    sim.run()
-    assert sim.skipped_cycles == 0

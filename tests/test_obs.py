@@ -281,15 +281,10 @@ class TestCycleProfiler:
         assert profile["meta"]["prefetcher"] == kind
 
     def test_identical_under_both_engines(self, small_trace):
-        fast_response = profile_run(small_trace, _fdip(),
-                                    fast_loop=True)
-        naive_response = profile_run(small_trace, _fdip(),
-                                     fast_loop=False)
-        fast_result, fast = fast_response.result, fast_response.profile
-        naive_result, naive = (naive_response.result,
-                               naive_response.profile)
-        assert fast_result == naive_result
-        assert fast["buckets"] == naive["buckets"]
+        event = profile_run(small_trace, _fdip(), engine="event")
+        naive = profile_run(small_trace, _fdip(), engine="naive")
+        assert event.result == naive.result
+        assert event.profile["buckets"] == naive.profile["buckets"]
 
     def test_profiling_never_perturbs_results(self, small_trace):
         plain = Simulator(small_trace, _fdip()).run()

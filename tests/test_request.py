@@ -126,6 +126,24 @@ class TestWireForm:
         with pytest.raises(ConfigError, match="mapping"):
             RunRequest.from_dict(None)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("seed", None),
+        ("trace_length", 3000.0), ("trace_length", True),
+        ("shards", 2.0), ("shards", False), ("shard_overlap", 0.5),
+        ("label", 7), ("config", "garbage"), ("config", []),
+    ])
+    def test_mistyped_wire_field_rejected(self, field, value):
+        """Identity fields are type-checked before any cache key exists.
+
+        ``cache_key`` digests ``int(seed)``, so an unchecked ``1.5`` (or
+        ``True``) shared seed 1's key while simulating something else,
+        and a non-mapping ``config`` silently ran a stock machine.
+        """
+        body = {"workload": "gcc_like", "trace_length": 3000, "seed": 1}
+        resolve_request(RunRequest.from_dict(body)).cache_key()
+        with pytest.raises(ConfigError, match=field):
+            RunRequest.from_dict({**body, field: value})
+
 
 class TestExecute:
     def test_execute_matches_simulate_bit_identically(self):
@@ -165,14 +183,6 @@ class TestRunResponse:
         assert response.source == "computed"
         assert response.profile is not None
         assert response.profile["cycles"] == response.result.cycles
-
-    def test_tuple_unpacking_shim_warns(self):
-        response = self._response()
-        with pytest.warns(DeprecationWarning,
-                          match="response.result"):
-            result, profile = response
-        assert result is response.result
-        assert profile is response.profile
 
     def test_bad_source_rejected(self):
         response = self._response()

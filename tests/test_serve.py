@@ -401,6 +401,33 @@ class TestHTTPRoundtrip:
         finally:
             daemon.stop()
 
+    def test_mistyped_request_body_is_a_400(self, small_result):
+        import http.client
+
+        executor = _GatedExecutor(small_result)
+        daemon, _ = self._daemon(executor=executor)
+        try:
+            for field, value in (("seed", 1.5), ("seed", True),
+                                 ("config", "garbage")):
+                body = {"request": {"workload": "compress_like",
+                                    "trace_length": LENGTH,
+                                    field: value}}
+                connection = http.client.HTTPConnection(
+                    *daemon.address, timeout=10)
+                try:
+                    connection.request(
+                        "POST", "/v1/submit", body=json.dumps(body),
+                        headers={"Content-Type": "application/json"})
+                    response = connection.getresponse()
+                    detail = json.loads(response.read())["detail"]
+                finally:
+                    connection.close()
+                assert response.status == 400, (field, value)
+                assert field in detail
+            assert executor.calls == []
+        finally:
+            daemon.stop()
+
     def test_unreachable_daemon_is_a_serve_error(self):
         client = Client("127.0.0.1", 1, timeout=2)
         with pytest.raises(ServeError, match="cannot reach"):
