@@ -18,7 +18,9 @@ With a :class:`~repro.harness.persist.ResultStore` and a checkpoint
 path, completed points are persisted as they finish and a
 :class:`~repro.harness.persist.SweepManifest` tracks progress, so an
 interrupted sweep rerun with ``resume=True`` re-simulates only the
-unfinished points.
+unfinished points.  Both key a point by the
+:meth:`~repro.spec.RunRequest.cache_key` of its monolithic request,
+the same digest :class:`~repro.harness.runner.Runner` memoizes under.
 
 Workers validate their result against the simulator's structural
 invariants (:func:`repro.sim.guard_invariants`) before returning, so a
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.config import SimConfig
-from repro.harness.persist import ResultStore, SweepManifest, result_key
+from repro.harness.persist import ResultStore, SweepManifest
 from repro.harness.supervise import (
     AttemptRecord,
     RetryPolicy,
@@ -48,6 +50,7 @@ from repro.api import simulate
 from repro.errors import ReproError, RetryExhaustedError
 from repro.obs import events as obs_events
 from repro.sim import SimResult, guard_invariants
+from repro.spec import RunRequest
 from repro.stats.sweep import merge_counters, summary_line
 from repro.workloads import build_trace
 
@@ -124,16 +127,24 @@ class SweepOutcome(Mapping):
                 f"failed={len(self.failures)})")
 
 
-def _effective_config(config: SimConfig, warmup: int) -> SimConfig:
-    """The config a point actually runs (default warm-up injected)."""
-    if warmup and config.warmup_instructions == 0:
+#: Share of the trace a point spends warming up when its configuration
+#: sets no warm-up of its own.
+WARMUP_FRACTION = 0.2
+
+
+def warmed(config: SimConfig, warmup: int) -> SimConfig:
+    """The config a harness point actually runs.
+
+    The harness's one warm-up rule: a configuration that sets no
+    warm-up of its own gets ``warmup`` instructions of it.
+    """
+    if warmup > 0 and config.warmup_instructions == 0:
         return config.replace(warmup_instructions=warmup)
     return config
 
 
 def _run_point(workload: str, config: SimConfig, trace_length: int,
-               seed: int, verify_invariants: bool,
-               checkpoint_dir: str | None = None,
+               seed: int, checkpoint_dir: str | None = None,
                checkpoint_interval: int = 0) -> SimResult:
     """Worker: simulate one (workload, config) point and validate it.
 
@@ -159,10 +170,8 @@ def _run_point(workload: str, config: SimConfig, trace_length: int,
                                       name=workload).result
     else:
         result = simulate(trace, config, name=workload)
-    if verify_invariants:
-        guard_invariants(result,
-                         warmed_up=config.warmup_instructions > 0,
-                         context=workload)
+    guard_invariants(result, warmed_up=config.warmup_instructions > 0,
+                     context=workload)
     return result
 
 
@@ -196,12 +205,14 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
                    resume: bool = False,
                    machine_checkpoints: str | Path | None = None,
                    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                   verify_invariants: bool = True) -> SweepOutcome:
+                   ) -> SweepOutcome:
     """Run every (workload, config) point under supervision.
 
     With ``processes=1`` (or a single point) everything runs inline —
     useful for tests and debugging (timeouts are not enforced inline).
-    Duplicate points are simulated once.
+    Duplicate points are simulated once.  ``warmup`` defaults to
+    :data:`WARMUP_FRACTION` of ``trace_length`` and applies to points
+    whose config sets none (:func:`warmed`).
 
     ``store`` persists each completed point; ``checkpoint`` (a directory
     or explicit ``*.json`` path) additionally maintains a
@@ -228,16 +239,15 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
             "persist_dir / store, or set REPRO_RESULT_CACHE); without "
             "one there are no saved results to resume from")
     if warmup is None:
-        warmup = trace_length // 5
+        warmup = int(trace_length * WARMUP_FRACTION)
     if policy is None:
         policy = RetryPolicy(max_retries=max_retries,
                              point_timeout=point_timeout)
 
     unique = list(dict.fromkeys(points))
-    effective = {point: _effective_config(point[1], warmup)
-                 for point in unique}
-    keys = {point: result_key(point[0], effective[point], trace_length,
-                              seed)
+    effective = {point: warmed(point[1], warmup) for point in unique}
+    keys = {point: RunRequest(point[0], effective[point], trace_length,
+                              seed, shards=1).cache_key()
             for point in unique}
     by_key = {key: point for point, key in keys.items()}
 
@@ -266,16 +276,14 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
     for point in unique:
         key = keys[point]
         if resume and store is not None:
-            cached = store.load(point[0], effective[point], trace_length,
-                                seed)
+            cached = store.load_key(key)
             if cached is not None:
                 results[point] = cached
                 resumed += 1
                 if manifest is not None and key not in manifest.done:
                     manifest.mark_done(key)
                 continue
-        args = (point[0], effective[point], trace_length, seed,
-                verify_invariants)
+        args = (point[0], effective[point], trace_length, seed)
         if machine_checkpoints is not None:
             args += (str(point_dir(key)), checkpoint_interval)
         todo.append((key, args))
@@ -296,8 +304,7 @@ def parallel_sweep(points: list[SweepPoint], trace_length: int = 60_000,
         point = by_key[key]
         results[point] = result
         if store is not None:
-            store.store(point[0], effective[point], trace_length, seed,
-                        result)
+            store.store_key(key, result)
         if manifest is not None:
             manifest.mark_done(key)
         if machine_checkpoints is not None:

@@ -1,18 +1,21 @@
 """Persistent simulation-result cache and sweep checkpointing.
 
 Long (``REPRO_FULL=1``) sweeps are expensive; :class:`ResultStore` keeps
-each :class:`SimResult` on disk keyed by everything that determines it —
-the workload/trace identity, the full configuration, and the package
-version (so any model change invalidates old results).
+each :class:`SimResult` on disk under a precomputed
+:meth:`~repro.spec.RunRequest.cache_key` digest, which covers everything
+that determines the result — the workload/trace identity, the full
+configuration, the execution variant, and the package and result-schema
+versions (so any model change invalidates old results).
 
 The store is hardened for concurrent, crash-prone use:
 
 - writes go through a **unique per-writer temp file** plus atomic
   ``os.replace`` (a shared ``.tmp`` path would race when two workers
   store the same key);
-- entries embed a **content checksum**; a truncated or garbled file is
-  **quarantined** under ``<dir>/quarantine/`` for post-mortem instead of
-  being silently deleted, and the load simply misses.
+- entries embed a **content checksum**; a truncated, garbled or
+  unchecksummed file is **quarantined** under ``<dir>/quarantine/`` for
+  post-mortem instead of being silently deleted, and the load simply
+  misses.
 
 :class:`SweepManifest` checkpoints sweep progress (which point keys are
 done or failed) in one atomically-rewritten JSON file, so an interrupted
@@ -28,60 +31,28 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.cachekey import cache_key
-from repro.config import SimConfig
 from repro.errors import CacheCorruptionError
 from repro.fsutil import QUARANTINE_DIR, atomic_write_text, quarantine
 from repro.obs import events as obs_events
 from repro.sim import SimResult
 from repro.sim.serialize import result_from_json, result_to_json
 
-__all__ = ["ResultStore", "SweepManifest", "result_key"]
-
-
-def result_key(workload: str, config: SimConfig, trace_length: int,
-               seed: int, variant: str = "") -> str:
-    """Stable identity of one simulation point (store/manifest key).
-
-    A thin alias of :func:`repro.cachekey.cache_key` — the Runner, the
-    sweep manifest, the sharded runner, and the serving layer's
-    content-addressed cache all derive their keys from that one helper,
-    so no two layers can ever disagree about a point's identity.
-
-    ``variant`` distinguishes alternative executions of the same point —
-    notably sharded runs (``shards=K:overlap=N:warm=M``), whose merged
-    telemetry approximates but does not equal the monolithic result and
-    must never be served from (or poison) the monolithic cache entry.
-    """
-    return cache_key(workload, config, trace_length, seed, variant)
-
-
-# Crash-safe write/quarantine primitives now live in repro.fsutil,
-# shared with the machine checkpointer; these aliases keep the module's
-# historical internal surface (tests and older call sites) stable.
-_atomic_write = atomic_write_text
-_quarantine = quarantine
+__all__ = ["ResultStore", "SweepManifest"]
 
 
 class ResultStore:
     """Directory-backed map from run identity to SimResult.
 
-    The classic entry points key by the point's fields
-    (:meth:`load` / :meth:`store`); the key-direct entry points
-    (:meth:`load_key` / :meth:`store_key`) take a precomputed
-    :func:`~repro.cachekey.cache_key` digest — the serving layer's
-    content-addressed :class:`~repro.serve.cache.ResultCache` layers
-    on top of these, inheriting the atomic-write / checksum /
+    :meth:`load_key` / :meth:`store_key` take a precomputed
+    :meth:`~repro.spec.RunRequest.cache_key` digest.  The serving
+    layer's content-addressed :class:`~repro.serve.cache.ResultCache`
+    layers on top of these, inheriting the atomic-write / checksum /
     quarantine discipline wholesale.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.quarantined = 0
-
-    def _key(self, workload: str, config: SimConfig, trace_length: int,
-             seed: int, variant: str = "") -> str:
-        return result_key(workload, config, trace_length, seed, variant)
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.result.json"
@@ -99,20 +70,19 @@ class ResultStore:
         except ValueError as exc:
             raise CacheCorruptionError(str(path),
                                        f"not valid JSON ({exc})") from None
-        if isinstance(envelope, dict) and "payload" in envelope:
-            self._check_envelope(path, envelope)
-            payload = envelope["payload"]
-            digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            if digest != envelope.get("checksum"):
-                raise CacheCorruptionError(str(path), "checksum mismatch")
-            return result_from_json(payload)
-        # Legacy entry written before checksumming: parse directly.
-        return result_from_json(text)
+        if not isinstance(envelope, dict) or "payload" not in envelope:
+            raise CacheCorruptionError(str(path), "no checksum envelope")
+        self._check_envelope(path, envelope)
+        payload = envelope["payload"]
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        if digest != envelope.get("checksum"):
+            raise CacheCorruptionError(str(path), "checksum mismatch")
+        return result_from_json(payload)
 
     def load_key(self, key: str) -> SimResult | None:
         """Return the result stored under ``key`` or None.
 
-        Corrupt or refused entries are quarantined under
+        Corrupt, unchecksummed or refused entries are quarantined under
         ``<dir>/quarantine/`` and counted on :attr:`quarantined`; the
         load simply misses.
         """
@@ -133,18 +103,12 @@ class ResultStore:
 
     def _quarantine_entry(self, path: Path, reason: str) -> None:
         try:
-            _quarantine(path)
+            quarantine(path)
             self.quarantined += 1
             obs_events.emit("store_quarantine", data={
                 "path": str(path), "reason": reason})
         except OSError:
             pass
-
-    def load(self, workload: str, config: SimConfig, trace_length: int,
-             seed: int, variant: str = "") -> SimResult | None:
-        """Return a stored result or None; corrupt files are quarantined."""
-        return self.load_key(self._key(workload, config, trace_length,
-                                       seed, variant))
 
     def store_key(self, key: str, result: SimResult,
                   meta: dict | None = None) -> None:
@@ -162,12 +126,7 @@ class ResultStore:
             "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
             "payload": payload,
         })
-        _atomic_write(self.directory, path, json.dumps(fields))
-
-    def store(self, workload: str, config: SimConfig, trace_length: int,
-              seed: int, result: SimResult, variant: str = "") -> None:
-        self.store_key(self._key(workload, config, trace_length, seed,
-                                 variant), result)
+        atomic_write_text(self.directory, path, json.dumps(fields))
 
     def clear(self) -> int:
         """Delete all stored results; returns the number removed."""
@@ -190,8 +149,9 @@ class ResultStore:
 class SweepManifest:
     """Atomic on-disk checkpoint of one sweep's per-point progress.
 
-    The manifest maps point keys (see :func:`result_key`) to a terminal
-    status (``done`` or ``failed``).  It is rewritten atomically after
+    The manifest maps point keys (see
+    :meth:`~repro.spec.RunRequest.cache_key`) to a terminal status
+    (``done`` or ``failed``).  It is rewritten atomically after
     every state change, so a sweep killed mid-run leaves a consistent
     file behind; a corrupt manifest is quarantined and treated as empty
     (resume then falls back on the result store alone).
@@ -231,7 +191,7 @@ class SweepManifest:
             stored_meta = dict(data.get("meta", {}))
         except (ValueError, TypeError):
             try:
-                _quarantine(self.path)
+                quarantine(self.path)
             except OSError:
                 pass
             return
@@ -264,7 +224,7 @@ class SweepManifest:
             "done": sorted(self.done),
             "failed": self.failed,
         }, indent=1, sort_keys=True)
-        _atomic_write(self.path.parent, self.path, payload)
+        atomic_write_text(self.path.parent, self.path, payload)
 
     def mark_done(self, key: str) -> None:
         self.done.add(key)

@@ -1,10 +1,13 @@
 """Experiment runner with in-process result memoization.
 
-The twelve experiments share many (workload, configuration) simulation
-runs; this runner keys every run by its exact inputs so an experiment
-that re-requests an already-simulated point pays nothing.  Traces are
-cached on disk (see :class:`~repro.trace.cache.TraceCache`), simulation
-results in memory.
+The experiments share many (workload, configuration) simulation runs;
+this runner resolves every point to one :class:`~repro.spec.RunRequest`
+(default warm-up, shard count and variant applied) and keys the run by
+that request's :meth:`~repro.spec.RunRequest.cache_key`, so an
+experiment that re-requests an already-simulated point pays nothing.
+Traces are cached on disk (see :class:`~repro.trace.cache.TraceCache`),
+simulation results in memory and, optionally, in a
+:class:`~repro.harness.persist.ResultStore` under the same key.
 
 Long traces can additionally be *sharded*: :meth:`Runner.run` splits
 the trace into windows, simulates them on the supervised pool, and
@@ -21,11 +24,17 @@ from repro import env
 # Bound as a module-level name (rather than called through repro.api)
 # so tests can monkeypatch `repro.harness.runner.simulate`.
 from repro.api import simulate
-from repro.cachekey import shard_variant as _shard_variant
 from repro.config import SimConfig
 from repro.errors import RetryExhaustedError
+from repro.harness.parallel import (
+    WARMUP_FRACTION,
+    PointFailure,
+    SweepOutcome,
+    parallel_sweep,
+    warmed,
+)
 from repro.spec import ExperimentSpec, Point, RunRequest, \
-    normalize_points
+    normalize_points, resolve_request
 from repro.sim import SimResult
 from repro.stats.sweep import merge_counters
 from repro.trace import Trace
@@ -67,12 +76,6 @@ def geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-# The shard-variant tag is derived next to cache_key() itself (one
-# module owns every piece of result identity); re-exported here because
-# this is where harness callers historically found it.
-shard_variant = _shard_variant
-
-
 class Runner:
     """Runs (workload, config) points with memoization.
 
@@ -82,10 +85,14 @@ class Runner:
     merged windows on the process pool instead of one monolithic run.
     ``processes`` is the runner's worker budget, shared between
     point-level sweep parallelism and within-point shard parallelism.
+
+    A point's only identity is the resolved request :meth:`_request`
+    builds for it: the in-memory memo and the persistent store both
+    key on its :meth:`~repro.spec.RunRequest.cache_key`.
     """
 
     def __init__(self, trace_length: int | None = None, seed: int = 1,
-                 warmup_fraction: float = 0.2,
+                 warmup_fraction: float = WARMUP_FRACTION,
                  persist_dir: str | None = None,
                  store: "ResultStore | None" = None,
                  shards: int | None = None,
@@ -99,8 +106,9 @@ class Runner:
         self.shard_overlap = shard_overlap
         self.shard_threshold = shard_threshold
         self.processes = processes
+        self._warmup = int(self.trace_length * warmup_fraction)
         self._traces: dict[str, Trace] = {}
-        self._results: dict[tuple, SimResult] = {}
+        self._results: dict[str, SimResult] = {}
         self.sweep_counters: dict[str, int] = {}
         if store is not None:
             self._store = store
@@ -119,26 +127,35 @@ class Runner:
             self._traces[workload] = trace
         return trace
 
-    def _warmed(self, config: SimConfig) -> SimConfig:
-        if config.warmup_instructions == 0 and self.warmup_fraction > 0:
-            warmup = int(self.trace_length * self.warmup_fraction)
-            return config.replace(warmup_instructions=warmup)
-        return config
+    def _request(self, workload: str, config: SimConfig,
+                 shards: int | None = None) -> RunRequest:
+        """The resolved request identifying one point.
 
-    def _effective_shards(self, shards: int | None) -> int:
-        """How many shards a point actually runs with.
-
-        An explicit per-call/per-point value wins; ``None`` falls back
-        to the runner's policy, which only engages at or above the
-        sharding threshold (short traces shard inaccurately — the
-        warm-up transient would dominate each window).
+        Applies the default warm-up (:func:`~repro.harness.parallel.
+        warmed`) and the shard count: an explicit per-call/per-point
+        ``shards`` wins; ``None`` falls back to the runner's policy,
+        which only engages at or above the sharding threshold (short
+        traces shard inaccurately — the warm-up transient would
+        dominate each window).
         """
         if shards is None:
-            if self.shards is None \
-                    or self.trace_length < self.shard_threshold:
-                return 1
-            shards = self.shards
-        return max(1, min(shards, self.trace_length))
+            policy = self.shards is not None \
+                and self.trace_length >= self.shard_threshold
+            shards = self.shards if policy else 1
+        return resolve_request(
+            workload=workload, config=warmed(config, self._warmup),
+            trace_length=self.trace_length, seed=self.seed,
+            shards=shards, shard_overlap=self.shard_overlap)
+
+    def cached(self, workload: str, config: SimConfig) -> SimResult | None:
+        """The memoized result :meth:`run` would return, or None.
+
+        Never simulates and never reads the persistent store, so a
+        caller can peek at points without paying for the ones no
+        experiment ran.
+        """
+        return self._results.get(
+            self._request(workload, config).cache_key())
 
     def run(self, workload: str, config: SimConfig, *,
             shards: int | None = None,
@@ -150,61 +167,31 @@ class Runner:
         out over ``processes`` workers (default: the runner's budget,
         else one worker per shard) and cache under a shard-specific key.
         """
-        config = self._warmed(config)
-        nshards = self._effective_shards(shards)
-        request = self._request(workload, config, nshards)
-        if nshards > 1:
-            return self._run_sharded(request, processes=processes)
-        key = (workload, config)
+        return self._run(self._request(workload, config, shards),
+                         processes)
+
+    def _run(self, request: RunRequest,
+             processes: int | None = None) -> SimResult:
+        """Look ``request`` up, else execute and store it."""
+        key = request.cache_key()
         result = self._results.get(key)
         if result is None and self._store is not None:
-            result = self._store.load_key(request.cache_key())
-            if result is not None:
-                self._results[key] = result
+            result = self._store.load_key(key)
         if result is None:
-            result = simulate(self.trace(workload), config,
-                              name=workload)
-            self._results[key] = result
+            if request.shards > 1:
+                from repro.harness.shard_runner import run_sharded_workload
+
+                result = run_sharded_workload(
+                    request.workload, self.trace_length, self.seed,
+                    request.config, shards=request.shards,
+                    overlap=request.shard_overlap,
+                    processes=processes or self.processes)
+            else:
+                result = simulate(self.trace(request.workload),
+                                  request.config, name=request.workload)
             if self._store is not None:
-                self._store.store_key(request.cache_key(), result)
-        return result
-
-    def _request(self, workload: str, config: SimConfig,
-                 nshards: int) -> "RunRequest":
-        """The resolved request identifying one (already warmed) point.
-
-        Every cache interaction below keys on this request's
-        :meth:`~repro.spec.RunRequest.cache_key`, the same shared
-        digest the serving layer and the sweep manifest use.
-        """
-        from repro.spec import resolve_request
-
-        return resolve_request(
-            workload=workload, config=config,
-            trace_length=self.trace_length, seed=self.seed,
-            shards=nshards,
-            shard_overlap=self.shard_overlap if nshards > 1 else None)
-
-    def _run_sharded(self, request: "RunRequest", *,
-                     processes: int | None = None) -> SimResult:
-        """Sharded execution of one point, memoized under its variant."""
-        from repro.harness.shard_runner import run_sharded_workload
-
-        key = (request.workload, request.config, request.variant())
-        result = self._results.get(key)
-        if result is None and self._store is not None:
-            result = self._store.load_key(request.cache_key())
-            if result is not None:
-                self._results[key] = result
-        if result is None:
-            result = run_sharded_workload(
-                request.workload, self.trace_length, self.seed,
-                request.config, shards=request.shards,
-                overlap=request.shard_overlap,
-                processes=processes or self.processes)
-            self._results[key] = result
-            if self._store is not None:
-                self._store.store_key(request.cache_key(), result)
+                self._store.store_key(key, result)
+        self._results[key] = result
         return result
 
     def with_seed(self, seed: int) -> "Runner":
@@ -226,7 +213,7 @@ class Runner:
               processes: int | None = None, *,
               max_retries: int = 2, point_timeout: float | None = None,
               checkpoint: str | None = None,
-              resume: bool = False) -> "SweepOutcome":
+              resume: bool = False) -> SweepOutcome:
         """Run many points fault-tolerantly and memoize the survivors.
 
         ``points`` is a list of typed :class:`~repro.spec.Point`
@@ -241,45 +228,32 @@ class Runner:
         are free; execution counters accumulate on
         :attr:`sweep_counters` (reported in the markdown report footer).
         """
-        from repro.harness.parallel import (
-            PointFailure,
-            _effective_config,
-            parallel_sweep,
-        )
-        from repro.harness.persist import result_key
-
         normalized = normalize_points(points)
         processes = processes if processes is not None else self.processes
-        warmup = int(self.trace_length * self.warmup_fraction)
-
-        plain = [p for p in normalized
-                 if self._effective_shards(p.shards) <= 1]
-        sharded = [p for p in normalized
-                   if self._effective_shards(p.shards) > 1]
+        requests = [self._request(p.workload, p.config, p.shards)
+                    for p in normalized]
+        plain = [(p, r) for p, r in zip(normalized, requests)
+                 if r.shards == 1]
+        sharded = [(p, r) for p, r in zip(normalized, requests)
+                   if r.shards != 1]
 
         outcome = parallel_sweep(
-            [p.key for p in plain], trace_length=self.trace_length,
-            seed=self.seed, warmup=warmup, processes=processes,
+            [p.key for p, _ in plain], trace_length=self.trace_length,
+            seed=self.seed, warmup=self._warmup, processes=processes,
             max_retries=max_retries, point_timeout=point_timeout,
             store=self._store, checkpoint=checkpoint, resume=resume)
-        for (workload, config), result in outcome.items():
-            key = (workload, _effective_config(config, warmup))
-            self._results.setdefault(key, result)
+        for point, request in plain:
+            result = outcome.results.get(point.key)
+            if result is not None:
+                self._results.setdefault(request.cache_key(), result)
 
         counters = dict(outcome.counters)
-        for point in sharded:
-            nshards = self._effective_shards(point.shards)
+        for point, request in sharded:
             try:
-                result = self.run(point.workload, point.config,
-                                  shards=nshards, processes=processes)
+                result = self._run(request, processes)
             except RetryExhaustedError as exc:
-                effective = self._warmed(point.config)
-                variant = shard_variant(nshards, self.shard_overlap)
                 outcome.failures.append(PointFailure(
-                    point.workload, point.config,
-                    result_key(point.workload, effective,
-                               self.trace_length, self.seed,
-                               variant=variant),
+                    point.workload, point.config, request.cache_key(),
                     attempts=list(exc.attempts)))
                 counters["failed"] = counters.get("failed", 0) + 1
             else:

@@ -11,7 +11,9 @@ module supplies the execution strategies:
   slice their own window, so only a few scalars cross the process
   boundary; this is what :class:`~repro.harness.runner.Runner` uses.
 
-Both inherit the PR-1 fault-tolerance machinery via
+Both transports share one worker body and one pool dispatch; only the
+task payload (a picklable trace factory) differs.  Both inherit the
+sweep layer's fault-tolerance machinery via
 :func:`~repro.harness.supervise.run_supervised`: per-shard retries with
 deterministic-jitter backoff, wall-clock timeouts, and pool rebuild on
 worker death.  A shard that exhausts its retries aborts the run with
@@ -26,6 +28,9 @@ re-validate them on entry.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 from repro.config import SimConfig
 from repro.errors import ConfigError
@@ -44,69 +49,69 @@ from repro.sim.sharding import (
 )
 from repro.stats.telemetry import TelemetrySnapshot
 from repro.trace import Trace
+from repro.workloads import build_trace
 
 __all__ = ["run_sharded", "run_sharded_workload"]
 
 
-def _run_shard_subtrace(records, name: str, seed: int, config_data: dict,
-                        index: int, sim_start: int, start: int, stop: int,
-                        warm: str,
-                        checkpoint_dir: str | None = None,
-                        ) -> TelemetrySnapshot:
-    """Worker: simulate one pre-sliced shard sub-trace.
+def _run_shard(make_trace: Callable[[], Trace], config_data: dict,
+               index: int, sim_start: int, start: int, stop: int,
+               warm: str, checkpoint_dir: str | None = None,
+               ) -> TelemetrySnapshot:
+    """Worker: simulate one shard of the trace ``make_trace`` returns.
 
-    ``sim_start``/``start``/``stop`` index into ``records`` — the parent
-    rebased them to match the slice it shipped (the full prefix in
-    ``functional`` mode, the overlap window in ``overlap`` mode).
+    ``make_trace`` is the task payload: the records the parent already
+    sliced for this shard, or the ``(workload, trace_length, seed)``
+    identity to rebuild the trace from.  ``sim_start``/``start``/
+    ``stop`` index into that trace.
     """
     config = SimConfig.from_dict(config_data)
-    trace = Trace(records, name=name, seed=seed)
+    trace = make_trace()
     spec = ShardSpec(index=index, sim_start=sim_start, start=start,
                      stop=stop)
     with obs_events.obs_context(shard=index):
         obs_events.emit("shard_start", data={
-            "name": name, "start": start, "stop": stop, "warm": warm})
-        snapshot = run_one_shard(trace, config, spec, name=name, warm=warm,
-                                 checkpoint_dir=checkpoint_dir)
-        obs_events.emit("shard_end", data={"name": name})
-    return snapshot
-
-
-def _run_shard_workload(workload: str, trace_length: int, seed: int,
-                        config_data: dict, index: int, sim_start: int,
-                        start: int, stop: int, warm: str,
-                        checkpoint_dir: str | None = None,
-                        ) -> TelemetrySnapshot:
-    """Worker: rebuild the workload trace and simulate one shard."""
-    from repro.workloads import build_trace
-
-    config = SimConfig.from_dict(config_data)
-    trace = build_trace(workload, trace_length, seed=seed)
-    spec = ShardSpec(index=index, sim_start=sim_start, start=start,
-                     stop=stop)
-    with obs_events.obs_context(shard=index):
-        obs_events.emit("shard_start", data={
-            "name": workload, "start": start, "stop": stop, "warm": warm})
+            "name": trace.name, "start": start, "stop": stop,
+            "warm": warm})
         snapshot = run_one_shard(trace, config, spec, warm=warm,
                                  checkpoint_dir=checkpoint_dir)
-        obs_events.emit("shard_end", data={"name": workload})
+        obs_events.emit("shard_end", data={"name": trace.name})
     return snapshot
 
 
-def _collect(outcome, plan: ShardPlan) -> list[TelemetrySnapshot]:
-    """Per-shard snapshots in shard order; raise on any failed shard."""
+def _run_pool(plan: ShardPlan, config: SimConfig,
+              payload: Callable[[ShardSpec],
+                                tuple[Callable[[], Trace], int]], *,
+              warm: str, processes: int | None,
+              policy: RetryPolicy | None, max_retries: int,
+              point_timeout: float | None,
+              checkpoint_dir: str | None) -> list[TelemetrySnapshot]:
+    """Run every shard of ``plan`` on the supervised pool.
+
+    ``payload(spec)`` returns one shard's picklable trace factory and
+    the index of that trace's first record in the full trace; the spec
+    is rebased onto it.  Returns the snapshots in shard order and
+    raises on any shard that exhausted its retries.
+    """
+    config_data = config.to_dict()
+    tasks = []
+    for spec in plan.shards:
+        make_trace, lo = payload(spec)
+        tasks.append((f"shard{spec.index}",
+                      (make_trace, config_data, spec.index,
+                       spec.sim_start - lo, spec.start - lo, spec.stop - lo,
+                       warm, shard_checkpoint_dir(checkpoint_dir,
+                                                  spec.index))))
+    if policy is None:
+        policy = RetryPolicy(max_retries=max_retries,
+                             point_timeout=point_timeout)
+    outcome = run_supervised(
+        _run_shard, tasks,
+        processes=min(processes or len(plan), len(plan)), policy=policy)
     if outcome.failures:
         first = sorted(outcome.failures)[0]
         raise outcome.failures[first].as_error()
     return [outcome.results[f"shard{spec.index}"] for spec in plan.shards]
-
-
-def _policy(policy: RetryPolicy | None, max_retries: int,
-            point_timeout: float | None) -> RetryPolicy:
-    if policy is not None:
-        return policy
-    return RetryPolicy(max_retries=max_retries,
-                       point_timeout=point_timeout)
 
 
 def run_sharded(trace: Trace, config: SimConfig | None = None, *,
@@ -145,29 +150,20 @@ def run_sharded(trace: Trace, config: SimConfig | None = None, *,
         snapshots = run_shards_inline(trace, config, plan, warm=warm,
                                       checkpoint_dir=checkpoint_dir)
     else:
-        config_data = config.to_dict()
-        tasks = []
-        for spec in plan.shards:
+        def payload(spec: ShardSpec) -> tuple[Callable[[], Trace], int]:
             # Ship exactly the records the shard consumes (the full
             # prefix under functional warming, just the overlap window
-            # otherwise) and rebase the spec onto that slice.  The
-            # run-level warm-up (first shard) is applied by shard_config
-            # from the config itself.
+            # otherwise).  The run-level warm-up (first shard) is
+            # applied by shard_config from the config itself.
             lo = 0 if warm == "functional" else spec.sim_start
-            sub = trace if (lo, spec.stop) == (0, len(trace)) \
-                else trace.slice(lo, spec.stop)
-            tasks.append((f"shard{spec.index}",
-                          (sub.records, f"{name}#shard{spec.index}",
-                           trace.seed, config_data, spec.index,
-                           spec.sim_start - lo, spec.start - lo,
-                           spec.stop - lo, warm,
-                           shard_checkpoint_dir(checkpoint_dir,
-                                                spec.index))))
-        outcome = run_supervised(
-            _run_shard_subtrace, tasks,
-            processes=min(processes or len(plan), len(plan)),
-            policy=_policy(policy, max_retries, point_timeout))
-        snapshots = _collect(outcome, plan)
+            return partial(Trace, trace.records[lo:spec.stop], name=name,
+                           seed=trace.seed), lo
+
+        snapshots = _run_pool(plan, config, payload, warm=warm,
+                              processes=processes, policy=policy,
+                              max_retries=max_retries,
+                              point_timeout=point_timeout,
+                              checkpoint_dir=checkpoint_dir)
     return sharded_result(snapshots, plan, name=name,
                           first_warmup=config.warmup_instructions,
                           warm=warm)
@@ -197,23 +193,17 @@ def run_sharded_workload(workload: str, trace_length: int, seed: int,
     plan = plan_shards(trace_length, shards, overlap,
                        warmup=config.warmup_instructions)
     if len(plan) == 1 or processes == 1:
-        from repro.workloads import build_trace
-
         trace = build_trace(workload, trace_length, seed=seed)
         snapshots = run_shards_inline(trace, config, plan, warm=warm,
                                       checkpoint_dir=checkpoint_dir)
     else:
-        config_data = config.to_dict()
-        tasks = [(f"shard{spec.index}",
-                  (workload, trace_length, seed, config_data, spec.index,
-                   spec.sim_start, spec.start, spec.stop, warm,
-                   shard_checkpoint_dir(checkpoint_dir, spec.index)))
-                 for spec in plan.shards]
-        outcome = run_supervised(
-            _run_shard_workload, tasks,
-            processes=min(processes or len(plan), len(plan)),
-            policy=_policy(policy, max_retries, point_timeout))
-        snapshots = _collect(outcome, plan)
+        make_trace = partial(build_trace, workload, trace_length,
+                             seed=seed)
+        snapshots = _run_pool(plan, config, lambda spec: (make_trace, 0),
+                              warm=warm, processes=processes,
+                              policy=policy, max_retries=max_retries,
+                              point_timeout=point_timeout,
+                              checkpoint_dir=checkpoint_dir)
     return sharded_result(snapshots, plan, name=workload,
                           first_warmup=config.warmup_instructions,
                           warm=warm)

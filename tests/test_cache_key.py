@@ -8,7 +8,6 @@ import sys
 
 from repro.cachekey import KEY_LENGTH, cache_key, shard_variant
 from repro.config import PrefetchConfig, SimConfig
-from repro.harness.persist import result_key
 from repro.spec import RunRequest
 
 
@@ -75,11 +74,6 @@ class TestCacheKey:
                 text=True, check=True).stdout.strip()
             for _ in range(2)}
         assert keys == {cache_key("gcc_like", SimConfig(), 60_000, 1)}
-
-    def test_result_key_is_an_alias(self):
-        config = SimConfig()
-        assert result_key("gcc_like", config, 60_000, 1, "v") == \
-            cache_key("gcc_like", config, 60_000, 1, "v")
 
     def test_request_cache_key_matches_helper(self):
         request = RunRequest("gcc_like", SimConfig(),

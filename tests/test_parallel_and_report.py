@@ -64,3 +64,15 @@ class TestReport:
         runner = Runner(trace_length=2000)
         text = generate_report(runner, experiment_ids=["E1"])
         assert "Total simulation points" in text
+
+    def test_appendix_survives_sharding(self):
+        # The appendix peeks at the runner's memo; a sharding runner
+        # memoizes under the shard variant, so the peek must resolve
+        # points exactly as run() does or the appendix vanishes.
+        from repro.harness.report import _telemetry_appendix
+
+        runner = Runner(trace_length=4000, seed=1, shards=2,
+                        shard_threshold=1000, processes=1)
+        for technique in ("none", "fdip_enqueue"):
+            runner.run("compress_like", technique_config(technique))
+        assert _telemetry_appendix(runner) is not None

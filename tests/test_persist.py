@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cachekey import cache_key
 from repro.errors import ReproError
 from repro.harness import ResultStore, Runner, technique_config
 from repro.sim import (
@@ -102,50 +103,51 @@ class TestSchemaVersioning:
         assert restored == original
 
 
+def _key(workload="w", technique="none", length=1000, seed=1):
+    return cache_key(workload, technique_config(technique), length, seed)
+
+
 class TestResultStore:
     def test_store_and_load(self, tmp_path):
         store = ResultStore(tmp_path)
-        config = technique_config("none")
         result = make_result()
-        store.store("w", config, 1000, 1, result)
-        loaded = store.load("w", config, 1000, 1)
+        store.store_key(_key(), result)
+        loaded = store.load_key(_key())
         assert loaded == result
 
     def test_distinct_identities_distinct_entries(self, tmp_path):
         store = ResultStore(tmp_path)
         result = make_result()
-        store.store("w", technique_config("none"), 1000, 1, result)
-        assert store.load("w", technique_config("nlp"), 1000, 1) is None
-        assert store.load("w", technique_config("none"), 2000, 1) is None
-        assert store.load("x", technique_config("none"), 1000, 1) is None
+        store.store_key(_key(), result)
+        assert store.load_key(_key(technique="nlp")) is None
+        assert store.load_key(_key(length=2000)) is None
+        assert store.load_key(_key(workload="x")) is None
 
     def test_corrupt_entry_ignored_and_removed(self, tmp_path):
         store = ResultStore(tmp_path)
-        config = technique_config("none")
-        store.store("w", config, 1000, 1, make_result())
+        store.store_key(_key(), make_result())
         victim = next(tmp_path.glob("*.result.json"))
         victim.write_text("garbage")
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(_key()) is None
         assert not victim.exists()
 
     def test_undecodable_entry_quarantined(self, tmp_path):
         # A flipped byte can break UTF-8 itself, not just the JSON or
         # the checksum; that must quarantine too, never raise.
         store = ResultStore(tmp_path)
-        config = technique_config("none")
-        store.store("w", config, 1000, 1, make_result())
+        store.store_key(_key(), make_result())
         victim = next(tmp_path.glob("*.result.json"))
         blob = bytearray(victim.read_bytes())
         blob[len(blob) // 2] = 0xA3
         victim.write_bytes(bytes(blob))
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(_key()) is None
         assert not victim.exists()
         assert store.quarantined == 1
         assert [p.name for p in store.quarantined_files()] == [victim.name]
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)
-        store.store("w", technique_config("none"), 1000, 1, make_result())
+        store.store_key(_key(), make_result())
         assert store.clear() == 1
         assert store.clear() == 0
 

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import env
+from repro.cachekey import cache_key
 from repro.errors import (
     CacheCorruptionError,
     ConfigError,
@@ -212,42 +213,47 @@ def _result(workload="w", length=1000, seed=1, store=None):
 class TestStoreHardening:
     def _roundtrip_store(self, tmp_path):
         store = ResultStore(tmp_path / "results")
-        config = technique_config("none")
-        store.store("w", config, 1000, 1, _result())
-        return store, config
+        key = cache_key("w", technique_config("none"), 1000, 1)
+        store.store_key(key, _result())
+        return store, key
 
     def test_truncated_entry_quarantined_not_deleted(self, tmp_path):
-        store, config = self._roundtrip_store(tmp_path)
+        store, key = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(victim.read_text()[:40])
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(key) is None
         assert not victim.exists()
         assert len(store.quarantined_files()) == 1
         assert store.quarantined == 1
 
     def test_checksum_mismatch_quarantined(self, tmp_path):
-        store, config = self._roundtrip_store(tmp_path)
+        store, key = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         envelope = json.loads(victim.read_text())
         envelope["payload"] = envelope["payload"].replace(
             '"cycles": 1000', '"cycles": 9999')
         victim.write_text(json.dumps(envelope))
-        assert store.load("w", config, 1000, 1) is None
+        assert store.load_key(key) is None
         assert len(store.quarantined_files()) == 1
 
-    def test_legacy_unchecksummed_entry_still_loads(self, tmp_path):
+    def test_legacy_unchecksummed_entry_quarantined(self, tmp_path):
+        # An envelope-less entry carries no checksum to verify, so it is
+        # corrupt by definition: quarantine it and miss.
         from repro.sim.serialize import result_to_json
-        store, config = self._roundtrip_store(tmp_path)
+        store, key = self._roundtrip_store(tmp_path)
         victim = next((tmp_path / "results").glob("*.result.json"))
         victim.write_text(result_to_json(_result()))
-        assert store.load("w", config, 1000, 1) is not None
+        assert store.load_key(key) is None
+        assert not victim.exists()
+        assert [p.name for p in store.quarantined_files()] == [victim.name]
+        assert store.quarantined == 1
 
     def test_unique_tmp_names_no_shared_path(self, tmp_path):
         # The old implementation used path.with_suffix('.tmp'), which
         # collides across concurrent writers of the same key; the
         # hardened writer must never leave that shared name behind and
         # must not leave temp droppings after a successful store.
-        store, _config = self._roundtrip_store(tmp_path)
+        store, _ = self._roundtrip_store(tmp_path)
         leftovers = list((tmp_path / "results").glob("*.tmp"))
         assert leftovers == []
 

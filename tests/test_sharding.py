@@ -299,21 +299,22 @@ class TestRunnerSharding:
         from repro.harness.runner import Runner
 
         runner = Runner(trace_length=8_000, seed=3, shards=4)
-        assert runner._effective_shards(None) == 1
+        assert runner._request("compress_like", SimConfig()).shards == 1
 
     def test_policy_engages_at_threshold(self):
         from repro.harness.runner import Runner
 
         runner = Runner(trace_length=8_000, seed=3, shards=4,
                         shard_threshold=8_000)
-        assert runner._effective_shards(None) == 4
+        config = SimConfig()
+        assert runner._request("compress_like", config).shards == 4
         # An explicit per-call value always wins over the policy.
-        assert runner._effective_shards(1) == 1
-        assert runner._effective_shards(2) == 2
+        assert runner._request("compress_like", config, 1).shards == 1
+        assert runner._request("compress_like", config, 2).shards == 2
 
     def test_sharded_results_cached_under_variant(self, tmp_path):
         from repro.harness.persist import ResultStore
-        from repro.harness.runner import Runner, shard_variant
+        from repro.harness.runner import Runner
 
         store = ResultStore(tmp_path)
         runner = Runner(trace_length=8_000, seed=3,
@@ -321,9 +322,9 @@ class TestRunnerSharding:
         config = SimConfig()
         sharded = runner.run("compress_like", config, shards=2,
                              processes=1)
-        effective = runner._warmed(config)
-        variant = shard_variant(2, None)
-        assert store.load("compress_like", effective, 8_000, 3,
-                          variant=variant) == sharded
+        request = runner._request("compress_like", config, shards=2)
+        assert request.variant()
+        assert store.load_key(request.cache_key()) == sharded
         # The monolithic cache entry stays untouched.
-        assert store.load("compress_like", effective, 8_000, 3) is None
+        mono = runner._request("compress_like", config, shards=1)
+        assert store.load_key(mono.cache_key()) is None
